@@ -23,8 +23,6 @@ rule                  family           rationale
                                        host clock; intervals want ``perf_counter()``
 ``id-order``          determinism      sorting/comparing by ``id()`` orders by memory
                                        address, different every process
-``deprecated-members``  api-contract   ``WifiCell.members`` warns at runtime and
-                                       copies; ``member_ids()`` is the stable surface
 ``raw-loss-poke``     api-contract     writing ``_loss``/``_uniform_p``/
                                        ``_uniform_loss_p`` skips ``set_loss()``
                                        validation and loss-model bookkeeping

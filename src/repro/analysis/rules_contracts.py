@@ -1,8 +1,8 @@
 """API-contract rules: keep callers on the supported surfaces.
 
-These rules encode deprecations and conventions the library already
-states in docstrings and DeprecationWarnings — the linter makes them
-diff-time errors instead of runtime noise.
+These rules encode conventions the library already states in
+docstrings — the linter makes them diff-time errors instead of latent
+bugs.
 """
 
 from __future__ import annotations
@@ -26,32 +26,6 @@ from repro.analysis.project import (
     WIFI_MODULE,
     in_paths,
 )
-
-
-@register_rule
-class DeprecatedMembersRule(Rule):
-    """``WifiCell.members`` is deprecated in favor of ``member_ids()``.
-
-    The property emits a DeprecationWarning at runtime and materializes
-    a list on every access; ``member_ids()`` returns the stable sorted
-    tuple the broadcast path actually uses.
-    """
-
-    name = "deprecated-members"
-    family = "api-contract"
-    description = "WifiCell.members is deprecated; use member_ids()"
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        if ctx.relpath == WIFI_MODULE:
-            return []
-        findings = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and node.attr == "members":
-                findings.append(ctx.finding(
-                    self.name, node,
-                    ".members is deprecated (DeprecationWarning at "
-                    "runtime); use member_ids()"))
-        return findings
 
 
 @register_rule

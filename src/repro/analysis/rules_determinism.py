@@ -219,8 +219,8 @@ class WallClockRule(Rule):
     Simulation, checkpoint, and verification code must be a function of
     sim-time only; harness code timing real intervals wants
     ``time.perf_counter()`` / ``time.monotonic()``, which never leak
-    the host's clock into an artifact (the PR 8 calendar-queue bug was
-    a wall-clock epoch anchor).
+    the host's clock into an artifact (a wall-clock epoch anchor in an
+    event queue is the classic way one leaks in).
     """
 
     name = "wall-clock"

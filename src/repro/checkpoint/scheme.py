@@ -79,7 +79,8 @@ class MobiStreamsScheme(FaultToleranceScheme):
             self.sim.now, "checkpoint_requested", region=region.name, version=version
         )
         ng = region.graph.node_graph(region.placement.chain_assignment(0))
-        origins = [n for n in ng.nodes if ng.in_degree(n) == 0]
+        fed = {v for vs in ng.values() for v in vs}
+        origins = [n for n in ng if n not in fed]
         for origin_id in origins:
             node = region.nodes.get(origin_id)
             if node is None or not node.alive:

@@ -459,18 +459,14 @@ class Region:
 
     # -- node-level graph queries (Fig. 1b) -----------------------------------
     def upstream_nodes(self, node_id: str, chain: int = 0) -> List[str]:
-        """Upstream neighbour nodes of ``node_id`` in one chain."""
+        """Upstream neighbour nodes of ``node_id`` in one chain (node order)."""
         ng = self.graph.node_graph(self.placement.chain_assignment(chain))
-        if node_id not in ng:
-            return []
-        return list(ng.predecessors(node_id))
+        return [u for u, vs in ng.items() if node_id in vs]
 
     def downstream_nodes(self, node_id: str, chain: int = 0) -> List[str]:
         """Downstream neighbour nodes of ``node_id`` in one chain."""
         ng = self.graph.node_graph(self.placement.chain_assignment(chain))
-        if node_id not in ng:
-            return []
-        return list(ng.successors(node_id))
+        return list(ng.get(node_id, ()))
 
     def source_node_ids(self, chain: int = 0) -> List[str]:
         """Nodes hosting source operators."""
@@ -707,7 +703,7 @@ class Region:
             for chain in range(self.placement.replication_factor):
                 assignment = self.placement.chain_assignment(chain)
                 ng = self.graph.node_graph(assignment)
-                pairs.update(ng.edges())
+                pairs.update((u, v) for u, vs in ng.items() for v in vs)
             for src, dst in sorted(pairs):
                 src_node = self.nodes.get(src)
                 if src_node is None or not src_node.alive:

@@ -605,8 +605,8 @@ def _telemetry_overhead(quick: bool) -> CaseFn:
 @_register("telemetry", "kernel/call-every")
 def _telemetry_call_every(quick: bool) -> CaseFn:
     """Kernel cost of the telemetry sampling machinery itself: timeout
-    churn with a ``call_every`` sampler armed and inline event counting
-    on — the exact run-loop configuration a live monitor selects.
+    churn with a ``call_every`` sampler armed — the run-loop load a live
+    monitor adds.
     Repeats internally (the suite is single-run for the overhead case's
     sake) and keeps the best wall."""
     n_procs, n_ticks = (10, 500) if quick else (30, 2000)
@@ -625,7 +625,6 @@ def _telemetry_call_every(quick: bool) -> CaseFn:
                 sim.process(ticker(sim, n_ticks))
             cancel = sim.call_every(
                 0.05, lambda: samples.__setitem__(0, samples[0] + 1))
-            sim.count_inline = True
             horizon = n_ticks * 0.01
             t0 = time.perf_counter()
             sim.run(until=horizon)
@@ -891,32 +890,6 @@ _register("fleet", "rss/object-n4000")(_rss_factory("object", 4_000))
 _register("fleet", "scenario/fleet-battery-wave")(
     _scenario_case("fleet-battery-wave", "bcp", "ms-8", 3)
 )
-
-
-@_register("fleet", "scheduler/calendar-call_in")
-def _calendar_call_in(quick: bool) -> CaseFn:
-    """The call_in storm on the calendar-queue backend (the heap number
-    is sim_kernel's ``call_in_storm``)."""
-    n = 20_000 if quick else 100_000
-
-    def run() -> Dict[str, float]:
-        sim = Simulator(scheduler="calendar")
-        hits = [0]
-
-        def bump() -> None:
-            hits[0] += 1
-
-        for i in range(n):
-            sim.call_in(0.001 * (i % 97), bump)
-        t0 = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - t0
-        assert hits[0] == n
-        ev = sim.events_processed
-        return {"wall_s": wall, "events": ev,
-                "events_per_s": _events_per_s(ev, wall)}
-
-    return run
 
 
 #: Suites whose cases are full runs (long enough to be stable); everything

@@ -3,10 +3,8 @@
 Every sweep artifact in this repo — buffered, streamed, or resumed — is
 produced by (or byte-identical to) :func:`dumps_artifact`: key-sorted
 JSON, indented for small sweeps and separators-only at
-:data:`COMPACT_THRESHOLD` cases.  The function used to live in
-:mod:`repro.scenarios.runner` as ``dumps_result``; it is the *format*
-half of the results contract, so it lives with the results API now and
-the runner keeps a deprecated shim.
+:data:`COMPACT_THRESHOLD` cases.  It is the *format* half of the
+results contract, so it lives with the results API.
 
 Nothing here imports simulation code: the format must be loadable (and
 testable) without building a system.

@@ -28,7 +28,6 @@ from repro.scenarios.runner import (
     build_system,
     case_to_dict,
     case_to_type,
-    dumps_result,
     register_scheme,
     run_case,
     unregister_scheme,
@@ -55,7 +54,6 @@ __all__ = [
     "build_system",
     "case_to_dict",
     "case_to_type",
-    "dumps_result",
     "get",
     "names",
     "register",

@@ -143,9 +143,6 @@ class QoSMonitor:
             raise RuntimeError("monitor already started")
         self._started = True
         self._last_sample_time = self.sim.now
-        # Mid-run samples need a current kernel-event count; the default
-        # run loop batch-flushes it only at exit.
-        self.sim.count_inline = True
         # Category-scoped: per-tuple categories (source ingests, sink
         # discards) never reach this observer at all.
         self.trace.add_observer(self.observe, categories=self._handlers)
@@ -167,7 +164,6 @@ class QoSMonitor:
             if self._cancel_sampler is not None:
                 self._cancel_sampler()
             self.trace.remove_observer(self.observe)
-            self.sim.count_inline = False
         for region in self._regions:
             region.telemetry = None
 

@@ -57,6 +57,17 @@ def test_cycle_rejected():
     g.connect("B", "A")
     with pytest.raises(GraphError, match="cycle"):
         g.validate()
+    with pytest.raises(GraphError, match="cycle"):
+        g.topological_order()
+
+
+def test_duplicate_connect_is_a_noop():
+    g = diamond()
+    g.connect("S", "A")
+    assert g.edges() == [("S", "A"), ("S", "B"), ("A", "K"), ("B", "K")]
+    assert g.downstream_of("S") == ["A", "B"]
+    assert g.upstream_of("A") == ["S"]
+    g.validate()
 
 
 def test_empty_graph_rejected():
@@ -117,8 +128,8 @@ def test_topological_order():
 def test_node_graph_collapse():
     g = diamond()
     ng = g.node_graph({"S": "n0", "A": "n1", "B": "n1", "K": "n2"})
-    assert set(ng.nodes) == {"n0", "n1", "n2"}
-    assert set(ng.edges) == {("n0", "n1"), ("n1", "n2")}
+    assert set(ng) == {"n0", "n1", "n2"}
+    assert {(u, v) for u, vs in ng.items() for v in vs} == {("n0", "n1"), ("n1", "n2")}
 
 
 def test_node_graph_cycle_rejected():

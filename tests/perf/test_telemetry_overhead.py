@@ -66,7 +66,6 @@ def test_disabled_run_touches_no_telemetry_machinery():
     unarmed (so the hot paths pay one is-None/empty-list check only)."""
     spec = get("flash-crowd").quick()
     system = build_system(spec, "bcp", "ms-8", 3)
-    assert system.sim.count_inline is False
     assert all(r.telemetry is None for r in system.regions)
     assert system.trace._observers == []
     result = run_case(spec, "bcp", "ms-8", 3)

@@ -244,11 +244,3 @@ def test_shutdown_pool_is_idempotent():
         jobs=2,
     )
     assert result["n_cases"] == 2
-
-
-def test_runner_run_sweep_shim_still_works_but_warns():
-    from repro.scenarios.runner import run_sweep as runner_run_sweep
-
-    spec = small_spec(matrix=MatrixSpec(apps=("bcp",), schemes=("base",), seeds=(3,)))
-    with pytest.warns(DeprecationWarning, match="executor.run_sweep"):
-        assert runner_run_sweep(spec, jobs=1)["n_cases"] == 1

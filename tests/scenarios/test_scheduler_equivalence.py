@@ -1,52 +1,20 @@
-"""Scheduler-equivalence properties: heap vs calendar queue.
+"""Run-to-run determinism of the event scheduler on the fleet backend.
 
-The heap backend is the determinism oracle.  The calendar queue must be
-*observationally identical*: the same ScenarioSpec run under either
-backend serializes to byte-identical artifacts.  Fuzzed specs from
-``repro.verify.fuzz`` exercise the whole event grammar (crash, cascade,
-churn, join, handoff, surge, battery) so agreement is a property, not a
-handful of hand-picked cases.
+The simulator has one event queue (a binary heap); the same ScenarioSpec
+run twice must serialize to byte-identical artifacts.  The fleet device
+backend batches battery sweeps over numpy arrays, so it is the spec most
+likely to leak an ordering dependency into the schedule.
 """
-
-import pytest
 
 from repro import scenarios
 from repro.results import dumps_artifact
-from repro.verify.fuzz import generate_specs
-
-#: Fuzz-walk seeds to compare.  Each seed's first spec draws a fresh
-#: (app, scheme, events) combination, so a few seeds cover several
-#: schemes end to end while keeping the suite's wall time sane.
-FUZZ_SEEDS = (11, 23, 58)
 
 
-def _artifact(spec, monkeypatch, backend):
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", backend)
-    result = scenarios.run_sweep(spec, jobs=1)
-    return dumps_artifact(result)
+def _artifact(spec):
+    return dumps_artifact(scenarios.run_sweep(spec, jobs=1))
 
 
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fuzzed_specs_serialize_identically_across_backends(seed, monkeypatch):
-    (spec,) = generate_specs(seed, 1)
-    heap = _artifact(spec, monkeypatch, "heap")
-    calendar = _artifact(spec, monkeypatch, "calendar")
-    assert heap == calendar
-
-
-@pytest.mark.parametrize("name", ("failure-cascade", "fleet-battery-wave"))
-def test_named_scenarios_serialize_identically_across_backends(name, monkeypatch):
-    spec = scenarios.get(name).quick()
-    heap = _artifact(spec, monkeypatch, "heap")
-    calendar = _artifact(spec, monkeypatch, "calendar")
-    assert heap == calendar
-
-
-def test_fleet_backend_is_deterministic_per_scheduler(monkeypatch):
-    """The fleet device backend composes with either scheduler: two runs
-    of the same spec under the same backend are byte-identical."""
+def test_fleet_backend_is_deterministic_per_scheduler():
+    """Two runs of the same fleet spec are byte-identical."""
     spec = scenarios.get("fleet-idle-churn").quick()
-    for backend in ("heap", "calendar"):
-        first = _artifact(spec, monkeypatch, backend)
-        again = _artifact(spec, monkeypatch, backend)
-        assert first == again
+    assert _artifact(spec) == _artifact(spec)

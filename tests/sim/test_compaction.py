@@ -3,24 +3,18 @@
 Cancelled timeouts are left in place (removing from mid-heap is O(n))
 and marked dead; once dead entries hit ``COMPACT_MIN_DEAD`` *and*
 outnumber live ones, the queue is rebuilt without them.  These tests
-drive the trigger directly and check both scheduler backends agree.
+drive the trigger directly.
 """
 
-import pytest
-
-from repro.sim.core import SCHEDULERS, Simulator
-
-
-@pytest.fixture(params=SCHEDULERS)
-def sim(request):
-    return Simulator(scheduler=request.param)
+from repro.sim.core import Simulator
 
 
 def _queued(sim):
     return sim._queued()
 
 
-def test_cancellations_below_threshold_stay_lazy(sim):
+def test_cancellations_below_threshold_stay_lazy():
+    sim = Simulator()
     timeouts = [sim.timeout(float(i + 1)) for i in range(100)]
     for t in timeouts[: Simulator.COMPACT_MIN_DEAD - 1]:
         t.cancel()
@@ -29,7 +23,8 @@ def test_cancellations_below_threshold_stay_lazy(sim):
     assert _queued(sim) == 100
 
 
-def test_compaction_fires_once_dead_outnumber_live(sim):
+def test_compaction_fires_once_dead_outnumber_live():
+    sim = Simulator()
     timeouts = [sim.timeout(float(i + 1)) for i in range(200)]
     # Cancel more than half, beyond the count floor.  The trigger is
     # checked per cancellation, so it fires mid-loop the moment both
@@ -47,7 +42,8 @@ def test_compaction_fires_once_dead_outnumber_live(sim):
     assert _queued(sim) == 0
 
 
-def test_compaction_preserves_event_order(sim):
+def test_compaction_preserves_event_order():
+    sim = Simulator()
     fired = []
     keep = []
     pending = []
@@ -66,7 +62,8 @@ def test_compaction_preserves_event_order(sim):
     assert fired == keep
 
 
-def test_call_every_cancel_leaves_nothing_queued(sim):
+def test_call_every_cancel_leaves_nothing_queued():
+    sim = Simulator()
     hits = []
     cancel = sim.call_every(1.0, hits.append, 1)
     sim.run(until=3.5)
@@ -80,7 +77,8 @@ def test_call_every_cancel_leaves_nothing_queued(sim):
     assert sim.dead_entries == 0
 
 
-def test_revival_decrements_dead_ledger(sim):
+def test_revival_decrements_dead_ledger():
+    sim = Simulator()
     t = sim.timeout(5.0)
     t.cancel()
     assert sim.dead_entries == 1
@@ -92,9 +90,10 @@ def test_revival_decrements_dead_ledger(sim):
     assert sim.now == 5.0
 
 
-def test_popped_dead_entries_settle_ledger(sim):
+def test_popped_dead_entries_settle_ledger():
     """Cancelled entries that never trip compaction pop as no-ops and
     settle ``dead_entries`` back to zero."""
+    sim = Simulator()
     ts = [sim.timeout(float(i + 1)) for i in range(10)]
     for t in ts[:5]:
         t.cancel()
@@ -104,10 +103,11 @@ def test_popped_dead_entries_settle_ledger(sim):
     assert sim.events_processed == 10  # dead pops still count
 
 
-def test_revival_after_compaction_fires_at_deadline(sim):
+def test_revival_after_compaction_fires_at_deadline():
     """A timeout whose lazily-deleted entry was dropped by a wholesale
     compaction must re-enter the queue on revival, not wait on an entry
     that no longer exists."""
+    sim = Simulator()
     t = sim.timeout(10.0)
     t.cancel()
     churn = [sim.timeout(50.0) for _ in range(2 * Simulator.COMPACT_MIN_DEAD)]
@@ -122,10 +122,11 @@ def test_revival_after_compaction_fires_at_deadline(sim):
     assert sim.dead_entries == 0
 
 
-def test_anyof_loser_yield_after_compaction(sim):
+def test_anyof_loser_yield_after_compaction():
     """The reviewer's repro: an AnyOf loser is auto-cancelled; after a
     compaction drops its entry, ``yield``-ing it must still resume the
     process at the original deadline (it used to hang forever)."""
+    sim = Simulator()
     results = []
 
     def proc(sim):
@@ -144,10 +145,11 @@ def test_anyof_loser_yield_after_compaction(sim):
     assert sim.dead_entries == 0
 
 
-def test_popped_dead_entry_add_callback_fires_immediately(sim):
+def test_popped_dead_entry_add_callback_fires_immediately():
     """Once a cancelled entry has popped at its deadline, a later
     add_callback behaves like on any expired timeout: it runs the
     callback now and must not decrement the dead ledger again."""
+    sim = Simulator()
     t = sim.timeout(1.0)
     t.cancel()
     sim.run()
@@ -158,10 +160,11 @@ def test_popped_dead_entry_add_callback_fires_immediately(sim):
     assert sim.dead_entries == 0
 
 
-def test_dropped_entry_past_deadline_fires_immediately(sim):
+def test_dropped_entry_past_deadline_fires_immediately():
     """A compaction-dropped timeout revived after its deadline has
     passed runs the callback immediately instead of scheduling into the
     past."""
+    sim = Simulator()
     t = sim.timeout(1.0)
     t.cancel()
     churn = [sim.timeout(2.0) for _ in range(2 * Simulator.COMPACT_MIN_DEAD)]

@@ -95,8 +95,8 @@ def test_report_gains_events_and_counters(telemetry_case):
 
 
 def test_monitor_detaches_cleanly():
-    """finish() removes every tap: regions, trace observer, inline
-    counting, and the sampler (idempotently)."""
+    """finish() removes every tap: regions, trace observer, and the
+    sampler (idempotently)."""
     from repro.scenarios.runner import build_system
     from repro.telemetry import QoSMonitor
 
@@ -110,7 +110,6 @@ def test_monitor_detaches_cleanly():
     monitor.finish()
     monitor.finish()  # idempotent
     assert all(r.telemetry is None for r in system.regions)
-    assert system.sim.count_inline is False
     n = len(monitor.snapshots)
     system.run(100.0)
     assert len(monitor.snapshots) == n  # sampler cancelled
@@ -148,24 +147,42 @@ def test_call_every_rejects_bad_interval():
         Simulator().call_every(0.0, lambda: None)
 
 
-def test_inline_counting_matches_batched():
-    """count_inline changes when the counter updates, not what it
-    counts: both loops end at the same total."""
+def test_call_every_sampler_reads_current_event_count():
+    """A periodic observer sampling mid-run sees every event processed
+    so far, not a count batched until the run loop exits."""
+    sim = Simulator()
+    seen = []
 
-    def build():
-        sim = Simulator()
+    def ticker(sim):
+        for _ in range(100):
+            yield sim.timeout(0.5)
 
-        def ticker(sim):
-            for _ in range(100):
-                yield sim.timeout(0.5)
+    sim.process(ticker(sim))
+    cancel = sim.call_every(5.0, lambda: seen.append(sim.events_processed))
+    sim.run(until=30.0)
+    cancel()
+    # At t = 5k the sampler (scheduled first) fires before that instant's
+    # tick, so it has seen: the process start, the 10k - 1 earlier
+    # ticks, its k - 1 earlier firings, and its own event.  The until
+    # stopper (scheduled at t=0) pops before the t=30 sample and tick.
+    assert seen == [11 * k for k in range(1, 6)]
+    assert sim.events_processed == 1 + 59 + 5 + 1
 
-        sim.process(ticker(sim))
-        return sim
 
-    batched = build()
-    batched.run(until=30.0)
-    inline = build()
-    inline.count_inline = True
-    inline.run(until=30.0)
-    assert inline.events_processed == batched.events_processed
-    assert inline.now == batched.now
+def test_raising_callback_leaves_event_count_exact():
+    """An exception escaping run() still counts the event that raised
+    it, and the counter resumes from there on the next run()."""
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.call_in(1.0, lambda: None)
+    sim.call_in(2.0, boom)
+    sim.call_in(3.0, lambda: None)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.events_processed == 2
+    assert sim.now == 2.0
+    sim.run()
+    assert sim.events_processed == 3

@@ -37,7 +37,7 @@ from repro.core.node import NodeRuntime
 from repro.core.operator import OperatorContext
 from repro.core.placement import Placement
 from repro.core.tuples import StreamTuple
-from repro.device.phone import Phone
+from repro.device.fleet import Fleet, FleetPhone
 from repro.net.cellular import CellularNetwork, UnknownEndpoint
 from repro.net.packet import Message
 from repro.net.wifi import Unreachable, WifiCell
@@ -95,12 +95,12 @@ class Region:
         config: RegionConfig,
         graph_factory: Callable[[], QueryGraph],
         placement: Placement,
-        compute_phones: List[Phone],
-        idle_phones: List[Phone],
+        compute_phones: List[FleetPhone],
+        idle_phones: List[FleetPhone],
         wifi: WifiCell,
         cellular: CellularNetwork,
         scheme: Any,
-        fleet: Optional[Any] = None,
+        fleet: Fleet,
     ) -> None:
         self.sim = sim
         self.rng = rng
@@ -112,7 +112,7 @@ class Region:
         self.cellular = cellular
         self.scheme = scheme
 
-        self.phones: Dict[str, Phone] = {p.id: p for p in compute_phones + idle_phones}
+        self.phones: Dict[str, FleetPhone] = {p.id: p for p in compute_phones + idle_phones}
         self.idle_ids: List[str] = [p.id for p in idle_phones]
         self._spawned = False
 
@@ -144,9 +144,8 @@ class Region:
         self.urgent_links: Set[Tuple[str, str]] = set()
         #: Phones that already filed a chronic-battery self-report.
         self._battery_reported: Set[str] = set()
-        #: Vectorized device backend, when the system runs one (see
-        #: :class:`repro.device.fleet.Fleet`).  The phones dict then holds
-        #: FleetPhone proxies and the battery loop runs as batch sweeps.
+        #: The system's device store; the phones dict holds its
+        #: FleetPhone proxies and the battery loop sweeps its arrays.
         self._fleet = fleet
         #: Cached fleet indices of this region's phones (ascending ==
         #: phones-dict insertion order); invalidated on join/departure.
@@ -176,7 +175,7 @@ class Region:
             raise RuntimeError("workloads already running; wrap before start")
         self._workloads = {op: iter(wrapper(w)) for op, w in self._workloads.items()}
 
-    def admit_idle_phone(self, phone: Phone) -> None:
+    def admit_idle_phone(self, phone: FleetPhone) -> None:
         """A phone arrives in the region and registers as an idle spare.
 
         Mirrors the Section III-A registration path for a phone that shows
@@ -719,39 +718,12 @@ class Region:
         idle figure.  A phone whose battery reaches the chronic threshold
         "actively report[s] its own failure to the controller"; a phone
         whose battery empties crashes like any other failure.
+
+        The drains run as one vectorized sweep over the fleet arrays; only
+        the phones the sweep flags are visited in Python, in region
+        membership (creation) order.
         """
         tick = self.config.battery_tick_s
-        if self._fleet is not None:
-            yield from self._fleet_battery_loop(tick)
-            return
-        while not self.stopped:
-            yield self.sim.timeout(tick)
-            for pid, phone in list(self.phones.items()):
-                if not phone.alive:
-                    continue
-                phone.battery.drain_idle(tick)
-                if phone.battery.is_dead:
-                    self.trace.record(
-                        self.sim.now, "battery_dead", region=self.name, phone=pid
-                    )
-                    self.apply_crash(pid, reason="battery dead")
-                elif phone.battery.is_critical and pid not in self._battery_reported:
-                    self._battery_reported.add(pid)
-                    self.trace.record(
-                        self.sim.now, "battery_critical", region=self.name, phone=pid,
-                        fraction=phone.battery.fraction,
-                    )
-                    if self.controller is not None and pid not in self.idle_ids:
-                        self.controller.on_self_report(self, pid)
-
-    def _fleet_battery_loop(self, tick: float):
-        """Batch variant of the battery tick over the fleet arrays.
-
-        The drains run as one vectorized sweep; only the phones the sweep
-        flags (newly dead, newly critical) are visited in Python, in
-        ascending fleet-index order — the same order the per-object loop
-        reaches them, since region membership iterates in creation order.
-        """
         fleet = self._fleet
         while not self.stopped:
             yield self.sim.timeout(tick)
@@ -761,29 +733,15 @@ class Region:
                     dtype=np.int64,
                     count=len(self.phones),
                 )
-            dead, critical = fleet.sweep_battery(self._fleet_idx, tick)
-            if not (dead.size or critical.size):
-                continue
-            dead_list, crit_list = dead.tolist(), critical.tolist()
-            di = ci = 0
-            # Two-pointer merge: both lists are ascending and disjoint.
-            while di < len(dead_list) or ci < len(crit_list):
-                take_dead = ci >= len(crit_list) or (
-                    di < len(dead_list) and dead_list[di] < crit_list[ci]
-                )
-                if take_dead:
-                    pid = fleet.id_at(dead_list[di])
-                    di += 1
+            flagged, dead = fleet.sweep_battery(self._fleet_idx, tick)
+            for i, is_dead in zip(flagged.tolist(), dead.tolist()):
+                pid = fleet.id_at(i)
+                if is_dead:
                     self.trace.record(
                         self.sim.now, "battery_dead", region=self.name, phone=pid
                     )
                     self.apply_crash(pid, reason="battery dead")
-                else:
-                    i = crit_list[ci]
-                    ci += 1
-                    pid = fleet.id_at(i)
-                    if pid in self._battery_reported:
-                        continue
+                elif pid not in self._battery_reported:
                     self._battery_reported.add(pid)
                     self.trace.record(
                         self.sim.now, "battery_critical", region=self.name, phone=pid,

@@ -17,9 +17,9 @@ from repro.core.controller import Controller, ControllerConfig
 from repro.core.metrics import MetricsReport, compute_metrics
 from repro.core.region import Region, RegionConfig
 from repro.device.failures import FailureInjector
-from repro.device.fleet import Fleet
+from repro.device.fleet import Fleet, FleetPhone
 from repro.device.mobility import MobilityModel
-from repro.device.phone import Phone, PhoneConfig
+from repro.device.phone import PhoneConfig
 from repro.net.cellular import CellularConfig, CellularNetwork
 from repro.net.topology import Position, RegionArea
 from repro.net.wifi import WifiCell, WifiConfig
@@ -75,11 +75,6 @@ class SystemConfig:
     #: Per-region heterogeneity: entry r overrides region r; a short list
     #: (or ``None`` entries) leaves the remaining regions at the defaults.
     region_builds: Optional[List[Optional[RegionBuildSpec]]] = None
-    trace_enabled: bool = True
-    #: Device-state storage: "object" (one Phone/Battery per phone, the
-    #: default and the parity oracle) or "fleet" (numpy struct-of-arrays
-    #: behind duck-typed proxies — the large-n backend).
-    device_backend: str = "object"
 
     def __post_init__(self) -> None:
         if self.n_regions < 1:
@@ -88,11 +83,6 @@ class SystemConfig:
             raise ValueError("need at least one phone per region")
         if self.region_builds is not None and len(self.region_builds) > self.n_regions:
             raise ValueError("more region_builds entries than regions")
-        if self.device_backend not in ("object", "fleet"):
-            raise ValueError(
-                f"unknown device_backend {self.device_backend!r}; "
-                "expected 'object' or 'fleet'"
-            )
 
     def region_build(self, index: int) -> RegionBuildSpec:
         """The effective build spec for region ``index``."""
@@ -114,12 +104,10 @@ class MobiStreamsSystem:
         self.config = config
         self.app = app
         self.sim = Simulator()
-        #: Vectorized device storage when device_backend == "fleet".
-        self.fleet: Optional[Fleet] = (
-            Fleet() if config.device_backend == "fleet" else None
-        )
+        #: Device store: every phone's numeric state lives in its arrays.
+        self.fleet = Fleet()
         self.rng = RngRegistry(config.master_seed)
-        self.trace = Trace(enabled=config.trace_enabled)
+        self.trace = Trace()
         self.cellular = CellularNetwork(self.sim, self.rng, config.cellular, trace=self.trace)
         self.controller = Controller(self.sim, self.cellular, self.trace, config.controller)
         self.injector = FailureInjector(self.sim, trace=self.trace)
@@ -197,10 +185,8 @@ class MobiStreamsSystem:
             upstream.add_downstream_region(downstream)
 
     def _new_phone(self, phone_id, position, config, charge_fraction):
-        """One phone on the configured device backend."""
-        if self.fleet is not None:
-            return self.fleet.create_phone(phone_id, position, config, charge_fraction)
-        return Phone(phone_id, position, config, charge_fraction=charge_fraction)
+        """One phone in the device store."""
+        return self.fleet.create_phone(phone_id, position, config, charge_fraction)
 
     def _apply_crash(self, phone_id: str, reason: str) -> None:
         region = self._phone_region.get(phone_id)
@@ -230,7 +216,7 @@ class MobiStreamsSystem:
             raise KeyError(f"unknown phone {phone_id!r}")
         region.apply_departure(phone_id)
 
-    def find_phone(self, phone_id: str) -> Optional[Phone]:
+    def find_phone(self, phone_id: str) -> Optional[FleetPhone]:
         """Look a phone up across all regions (None if unknown)."""
         region = self._phone_region.get(phone_id)
         return region.phones.get(phone_id) if region is not None else None

@@ -1,23 +1,23 @@
 """Vectorized fleet state: struct-of-arrays device/battery storage.
 
-At paper scale (tens of phones) one Python object per phone is fine.  At
-fleet scale — the ROADMAP's 10k–1M idle spares churning through a region
-— the per-phone objects themselves become the bottleneck: every battery
-tick walks a Python loop over every phone, and every phone costs ~1 KB
-of object headers before it stores a single float.
+This is the simulator's device store.  One Python object per phone
+would make every battery tick walk a Python loop over every phone, and
+every phone cost ~1 KB of object headers before it stores a single
+float — fine at paper scale, the bottleneck at fleet scale (thousands
+of idle spares churning through a region).
 
 :class:`Fleet` keeps the numeric device state (battery ledger, power
 draws, position, liveness) in flat numpy arrays and hands out
 :class:`FleetPhone` / :class:`FleetBattery` proxies that duck-type the
-classic :class:`~repro.device.phone.Phone` /
+scalar :class:`~repro.device.phone.Phone` /
 :class:`~repro.device.battery.Battery` API, so the node runtime, region
 bookkeeping, and failure injector run unchanged.  Bulk work — idle-drain
 ticks, liveness/critical sweeps, churn sampling — runs as batch array
 ops over index slices instead of per-object method calls.
 
 Float parity matters: a drain computed through a proxy and one computed
-through a batch op must produce bit-identical IEEE-754 results, so the
-object and fleet backends can be compared event-for-event at small n
+through a batch op must produce bit-identical IEEE-754 results to the
+scalar ``Phone``/``Battery`` classes, which stay as the test oracle
 (see ``tests/device/test_fleet.py``).  Every batch op mirrors the scalar
 arithmetic exactly: same operand order, same clamps, float64 throughout.
 """
@@ -42,8 +42,8 @@ class Fleet:
 
     One Fleet instance backs a whole system (phones keep globally unique
     ids); regions slice into it with index arrays.  Phones are never
-    removed — like the object backend, departed/crashed phones simply
-    stop being referenced — so indices are stable for a phone's lifetime.
+    removed — departed/crashed phones simply stop being referenced —
+    so indices are stable for a phone's lifetime.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -147,8 +147,7 @@ class Fleet:
     def drain_idle_tick(self, indices: np.ndarray, seconds: float) -> None:
         """Vectorized ``battery.drain_idle(seconds)`` over ``indices``.
 
-        Dead phones are left untouched (the object-backend loop skips
-        them before draining).
+        Dead phones are left untouched: a dead phone draws no power.
         """
         sel = indices[self.alive[indices]]
         rem = self.remaining_j
@@ -159,11 +158,11 @@ class Fleet:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One battery tick: idle-drain + liveness/critical sweep.
 
-        Returns ``(newly_dead, critical)`` fleet-index arrays, each in
-        ascending index order (== phone creation order, matching the
-        object backend's dict-iteration order).  ``critical`` excludes
-        the dead, mirroring the scalar ``is_dead``/``elif is_critical``
-        ladder.
+        Returns ``(flagged, dead)``: the fleet indices of the live phones
+        that are now dead or at the critical threshold, in ``indices``
+        order, and a boolean mask over ``flagged`` marking the dead.  A
+        dead phone is never also reported critical, mirroring the scalar
+        ``is_dead``/``elif is_critical`` ladder.
         """
         sel = indices[self.alive[indices]]
         rem = self.remaining_j
@@ -171,9 +170,9 @@ class Fleet:
         rem[sel] = drained
         dead = drained <= 0.0
         # fraction = max(0, rem/cap); for live phones rem > 0 so the
-        # clamp is moot, and dead ones are excluded by ~dead.
-        critical = ~dead & (drained / self.capacity_j[sel] <= self.critical_fraction[sel])
-        return sel[dead], sel[critical]
+        # clamp is moot, and the dead are flagged regardless.
+        flagged = dead | (drained / self.capacity_j[sel] <= self.critical_fraction[sel])
+        return sel[flagged], dead[flagged]
 
     def sample_departure_times(
         self, n: int, mean_interval_s: float, start_at: float, seed: int

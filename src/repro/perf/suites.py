@@ -717,8 +717,9 @@ def _build_fleet(n: int):
 
 @_register("fleet", "battery-tick/object")
 def _battery_tick_object(quick: bool) -> CaseFn:
-    """The per-object battery loop at fleet scale: one Python call chain
-    per phone per tick (the Region._battery_loop object path)."""
+    """The scalar test oracle's battery tick at fleet scale: one Python
+    call chain per phone per tick over plain ``Phone`` objects — the
+    comparator for the vectorized sweep's 10x gate."""
     n, ticks = (2_000, 5) if quick else (10_000, 20)
 
     def run() -> Dict[str, float]:
@@ -763,8 +764,8 @@ def _battery_tick_fleet(quick: bool) -> CaseFn:
         def loop():
             for _ in range(ticks):
                 yield sim.timeout(5.0)
-                dead, critical = fleet.sweep_battery(indices, 5.0)
-                if dead.size or critical.size:
+                flagged, _ = fleet.sweep_battery(indices, 5.0)
+                if flagged.size:
                     raise RuntimeError("bench phones must stay healthy")
 
         sim.process(loop())
@@ -829,7 +830,7 @@ def _broadcast_member_loop(quick: bool) -> CaseFn:
     return run
 
 
-def _rss_case(backend: str, n: int) -> Dict[str, float]:
+def _rss_case(n: int) -> Dict[str, float]:
     """Peak traced memory of one whole scenario case at ``n`` phones.
 
     Runs a quick paper-fig8 case with the region populations scaled to
@@ -842,15 +843,12 @@ def _rss_case(backend: str, n: int) -> Dict[str, float]:
     ``bytes_per_phone`` *falls* as n grows — the sub-linear curve
     tests/perf/test_fleet_scaling.py gates.
     """
-    import dataclasses
     import tracemalloc
 
     from repro.scenarios import EventDirector, get
     from repro.scenarios.runner import build_system
 
-    spec = dataclasses.replace(
-        get("paper-fig8").quick(), device_backend=backend
-    ).scaled_phones(n)
+    spec = get("paper-fig8").quick().scaled_phones(n)
     tracemalloc.start()
     t0 = time.perf_counter()
     system = build_system(spec, "bcp", "base", 3)
@@ -867,24 +865,22 @@ def _rss_case(backend: str, n: int) -> Dict[str, float]:
             "bytes_per_phone": peak / n}
 
 
-def _rss_factory(backend: str, n_full: int):
+def _rss_factory(n_full: int):
     def factory(quick: bool) -> CaseFn:
         n = max(n_full // 8, 250) if quick else n_full
 
         def run() -> Dict[str, float]:
-            return _rss_case(backend, n)
+            return _rss_case(n)
 
         return run
 
     return factory
 
 
-#: The peak-RSS curve: fleet backend across a 16x population span, with
-#: the object backend at the midpoint for contrast.  The sub-linear and
+#: The peak-RSS curve across a 16x population span.  The sub-linear and
 #: absolute-ceiling gates live in tests/perf/test_fleet_scaling.py.
 for _n in (1_000, 4_000, 16_000):
-    _register("fleet", f"rss/fleet-n{_n}")(_rss_factory("fleet", _n))
-_register("fleet", "rss/object-n4000")(_rss_factory("object", 4_000))
+    _register("fleet", f"rss/fleet-n{_n}")(_rss_factory(_n))
 
 
 _register("fleet", "scenario/fleet-battery-wave")(

@@ -41,8 +41,9 @@ import multiprocessing
 import os
 import re
 import sys
+import tempfile
 import traceback
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.apps.registry import AppRef, get_app
 from repro.results.io import COMPACT_THRESHOLD
@@ -294,6 +295,25 @@ def _chunksize(n_tasks: int, n_procs: int) -> int:
 _UNSAFE = re.compile(r"[^A-Za-z0-9._=\[\],+-]")
 
 
+def _atomic_write(path: str, dump: Callable[[TextIO], Any]) -> None:
+    """Write ``path`` through ``dump(fh)`` into a temp file of its own in
+    the same directory, then rename it into place.  Each writer gets a
+    unique temp name, so two writers of one entry never interleave or
+    rename each other's file away; the last rename wins whole."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path), prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            dump(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class CaseCache:
     """One JSON file per finished case, keyed by the sweep's identity.
 
@@ -348,10 +368,8 @@ class CaseCache:
     @staticmethod
     def _write(path: str, data: Dict) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, path)
+        _atomic_write(
+            path, lambda fh: json.dump(data, fh, sort_keys=True, separators=(",", ":")))
 
     def get(self, digest: str, app_key: str, scheme: str, seed: int) -> Optional[Dict]:
         return self._read(self.path(digest, app_key, scheme, seed))
@@ -385,10 +403,7 @@ def _write_timeline_file(
     bytes — serial/parallel/resumed sweeps write identical files)."""
     os.makedirs(dirname, exist_ok=True)
     path = os.path.join(dirname, timeline_filename(app_key, scheme, seed))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_timeline(timeline) + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, lambda fh: fh.write(dumps_timeline(timeline) + "\n"))
     return path
 
 

@@ -155,7 +155,6 @@ FLEET_IDLE_CHURN = register(ScenarioSpec(
     duration_s=900.0,
     warmup_s=150.0,
     idle_per_region=2000,
-    device_backend="fleet",
     events=(
         EventSpec(kind="churn", time=200.0, phones=(3, 4, 5), interval=120.0,
                   until=800.0),
@@ -174,7 +173,6 @@ FLEET_BATTERY_WAVE = register(ScenarioSpec(
     duration_s=900.0,
     warmup_s=150.0,
     idle_per_region=1500,
-    device_backend="fleet",
     # 0.0319 × 16 kJ = 510.4 J; idle drain (0.15 W) crosses the 480 J
     # chronic threshold at ~203 s — inside the run window even for
     # quick() copies, whose clocks compress but whose drain rates do not.

@@ -154,7 +154,6 @@ def build_system(
         master_seed=seed,
         checkpoint_period_s=spec.checkpoint_period_s,
         region_builds=region_builds,
-        device_backend=spec.device_backend,
     )
     return MobiStreamsSystem(
         sys_cfg,

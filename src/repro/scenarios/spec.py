@@ -212,18 +212,10 @@ class ScenarioSpec:
     matrix: MatrixSpec = field(default_factory=MatrixSpec)
     #: Opt-in live QoS telemetry (None = off; see :class:`TelemetrySpec`).
     telemetry: Optional[TelemetrySpec] = None
-    #: Device-state backend: "object" (per-phone objects, the default) or
-    #: "fleet" (vectorized struct-of-arrays for large-n populations).
-    device_backend: str = "object"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a name")
-        if self.device_backend not in ("object", "fleet"):
-            raise ValueError(
-                f"unknown device_backend {self.device_backend!r}; "
-                "expected 'object' or 'fleet'"
-            )
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
         if not 0 <= self.warmup_s < self.duration_s:
@@ -325,17 +317,23 @@ class ScenarioSpec:
         d["matrix"] = self.matrix.to_dict()
         if self.telemetry is None:
             del d["telemetry"]
-        if self.device_backend == "object":
-            # Same omission convention as ``telemetry``: default-valued
-            # runs serialize exactly as they did before the knob existed,
-            # keeping golden hashes and spec digests byte-identical.
-            del d["device_backend"]
         return d
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (tolerates JSON's tuple->list)."""
+        """Inverse of :meth:`to_dict` (tolerates JSON's tuple->list).
+
+        A legacy ``device_backend`` key (``"object"`` or ``"fleet"``, from
+        when the device store was selectable) is accepted and dropped:
+        both values run the same simulation.
+        """
         d = dict(data)
+        backend = d.pop("device_backend", "fleet")
+        if backend not in ("object", "fleet"):
+            raise ValueError(
+                f"unknown device_backend {backend!r}; "
+                "expected 'object' or 'fleet'"
+            )
         d["regions"] = tuple(RegionSpec(**r) for r in d.get("regions", ()))
         d["events"] = tuple(
             EventSpec(**{**e, "phones": tuple(e.get("phones", ()))})

@@ -44,9 +44,11 @@ def test_unknown_app_and_scheme_detected(tmp_path, base_spec):
         "spec-unknown-app", "spec-unknown-scheme"]
 
 
-def test_default_valued_keys_flagged_as_noncanonical(tmp_path, base_spec):
+@pytest.mark.parametrize("backend", ["object", "fleet"])
+def test_default_valued_keys_flagged_as_noncanonical(tmp_path, base_spec,
+                                                     backend):
     base_spec["telemetry"] = None
-    base_spec["device_backend"] = "object"
+    base_spec["device_backend"] = backend
     hits = lint_spec_file(_write(tmp_path, base_spec))
     assert [f.rule for f in hits] == ["spec-noncanonical-key"] * 2
     flagged = {f.code for f in hits}

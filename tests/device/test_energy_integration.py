@@ -122,3 +122,26 @@ def test_low_capacity_fleet_fails_organically():
     sys_ = MobiStreamsSystem(cfg, PipelineApp(), NoFaultTolerance)
     sys_.run(400.0)
     assert any(True for _ in sys_.trace.select("battery_dead"))
+
+
+def test_phone_joined_mid_run_joins_the_battery_sweep():
+    """A spare admitted after boot drains and self-reports like the
+    phones the region started with."""
+    sys_ = build_system(NoFaultTolerance)
+    sys_.run(60.0)
+    # 0.0301 of capacity sits ~1.6 J above the 3% chronic threshold.
+    pid = sys_.admit_phone(0, charge_fraction=0.0301)
+    sys_.run(60.0)
+    assert sys_.find_phone(pid).battery.fraction < 0.0301
+    reports = [r.data["phone"] for r in sys_.trace.select("battery_critical")]
+    assert reports == [pid]
+
+
+def test_departed_spare_leaves_the_battery_sweep():
+    sys_ = build_system(NoFaultTolerance)
+    sys_.run(60.0)
+    spare = sys_.regions[0].phones["region0.idle0"]
+    sys_.apply_departure(spare.id)
+    left_with = spare.battery.remaining_j
+    sys_.run(60.0)
+    assert spare.battery.remaining_j == left_with

@@ -1,9 +1,9 @@
-"""Fleet (struct-of-arrays) backend vs the classic per-object backend.
+"""Fleet (struct-of-arrays) device store vs the scalar test oracle.
 
 The fleet's contract is *bit-identical* IEEE-754 parity with the scalar
-``Battery``/``Phone`` path: every batch op mirrors the scalar arithmetic
-(same operand order, same clamps, float64 throughout), so the two device
-backends can be compared event-for-event at small n.
+``Battery``/``Phone`` classes: every batch op mirrors the scalar
+arithmetic (same operand order, same clamps, float64 throughout), so
+the two can be compared event-for-event at small n.
 """
 
 import numpy as np
@@ -142,7 +142,7 @@ def test_batch_drain_skips_dead_phones():
 
 
 def test_sweep_battery_matches_scalar_ladder():
-    """One tick of sweep_battery reproduces the object backend's
+    """One tick of sweep_battery reproduces the scalar Battery's
     is_dead / elif is_critical classification, in creation order."""
     fleet = Fleet()
     scalars = []
@@ -152,16 +152,15 @@ def test_sweep_battery_matches_scalar_ladder():
         scalars.append(Battery(BatteryConfig(), charge))
         fleet.create_phone(f"p{i}", Position(0, 0), charge_fraction=charge)
     seconds = 15.0
-    dead, critical = fleet.sweep_battery(np.arange(len(charges)), seconds)
-    want_dead, want_critical = [], []
+    flagged, dead = fleet.sweep_battery(np.arange(len(charges)), seconds)
+    want_flagged, want_dead = [], []
     for i, b in enumerate(scalars):
         b.drain_idle(seconds)
-        if b.is_dead:
-            want_dead.append(i)
-        elif b.is_critical:
-            want_critical.append(i)
+        if b.is_dead or b.is_critical:
+            want_flagged.append(i)
+            want_dead.append(b.is_dead)
+    assert flagged.tolist() == want_flagged
     assert dead.tolist() == want_dead
-    assert critical.tolist() == want_critical
     # The drained ledgers agree bitwise too.
     got = fleet.remaining_j[: len(charges)]
     assert np.array_equal(got, np.array([b.remaining_j for b in scalars]))
@@ -171,13 +170,13 @@ def test_sweep_battery_reports_each_death_once():
     fleet = Fleet()
     fleet.create_phone("p0", Position(0, 0), charge_fraction=0.0001)
     idx = np.arange(1)
-    dead, _ = fleet.sweep_battery(idx, 100.0)
-    assert dead.tolist() == [0]
+    flagged, dead = fleet.sweep_battery(idx, 100.0)
+    assert flagged.tolist() == [0] and dead.tolist() == [True]
     # The region marks reported phones dead; after that the sweep skips
     # them (alive mask), so the death is not re-reported.
     fleet.phone_at(0).crash()
-    dead, critical = fleet.sweep_battery(idx, 100.0)
-    assert dead.size == 0 and critical.size == 0
+    flagged, dead = fleet.sweep_battery(idx, 100.0)
+    assert flagged.size == 0 and dead.size == 0
 
 
 # -- churn sampling parity ------------------------------------------------

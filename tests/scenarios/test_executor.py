@@ -108,6 +108,30 @@ def test_case_cache_round_trip_and_corruption(tmp_path):
     assert cache.get("abcd", "edgeml[n_stages=2]", "ms-8", 3) is None
 
 
+def test_concurrent_writers_of_one_entry_do_not_collide(tmp_path, monkeypatch):
+    """A second writer of the same entry starts while the first is still
+    dumping: each needs its own temp file, or the first one's rename
+    finds its temp already moved away."""
+    cache = CaseCache(str(tmp_path))
+    row = {"seed": 3, "throughput": 1.25}
+    path = cache.path("abcd", "bcp", "ms-8", 3)
+    real_dump = json.dump
+    reentered = []
+
+    def dump_reentering_once(obj, fh, **kwargs):
+        if not reentered:
+            reentered.append(True)
+            CaseCache._write(path, obj)
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_reentering_once)
+    cache.put("abcd", "bcp", "ms-8", 3, row)
+    monkeypatch.undo()
+    assert reentered
+    assert cache.get("abcd", "bcp", "ms-8", 3) == row
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_partial_sweep_then_resume_is_byte_identical(tmp_path):
     """Kill-half-way recovery: a --max-cases partial run populates the
     cache; the re-run only simulates the missing cases and produces the

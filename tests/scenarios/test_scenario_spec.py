@@ -58,6 +58,24 @@ def test_from_dict_accepts_json_lists():
     assert ScenarioSpec.from_dict(data) == rich_spec()
 
 
+@pytest.mark.parametrize("backend", ["object", "fleet"])
+def test_legacy_device_backend_key_is_dropped(backend):
+    # Specs written while the device store was selectable still load,
+    # and load to the same spec as one without the key.
+    data = rich_spec().to_dict()
+    data["device_backend"] = backend
+    spec = ScenarioSpec.from_dict(data)
+    assert spec == rich_spec()
+    assert "device_backend" not in spec.to_dict()
+
+
+def test_unknown_legacy_device_backend_rejected():
+    data = rich_spec().to_dict()
+    data["device_backend"] = "gpu"
+    with pytest.raises(ValueError, match="device_backend"):
+        ScenarioSpec.from_dict(data)
+
+
 # -- matrix ------------------------------------------------------------------
 def test_matrix_expands_in_deterministic_order():
     from repro.apps.registry import AppRef

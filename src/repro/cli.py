@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps import registry as app_registry
 from repro.bench.fig8 import PAPER_LATENCY, SCHEME_ORDER
@@ -566,13 +566,36 @@ def _report_failures(result, verify: bool) -> bool:
     return bool(violations or errors or quarantined)
 
 
+def _run_coordinator(spec, address: str, *, out_path, compact, timelines_dir,
+                     **options) -> Tuple[Optional[Dict[str, Any]], int]:
+    """Bind a fabric coordinator at ``address`` (HOST:PORT), announce it,
+    and serve the sweep.  Returns ``(envelope, 0)``, or ``(None, exit
+    code)``: 2 for a bad or unbindable address, 1 when the fabric
+    stalls."""
+    from repro.fabric import FabricCoordinator, FabricError, parse_address
+
+    try:
+        bind = parse_address(address)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+    try:
+        coordinator = FabricCoordinator(spec, bind, **options)
+    except OSError as exc:
+        print(f"error: cannot bind {address}: {exc}", file=sys.stderr)
+        return None, 2
+    print(f"fabric: listening on {coordinator.host}:{coordinator.port}",
+          file=sys.stderr, flush=True)
+    try:
+        return coordinator.run(out_path=out_path, compact=compact,
+                               timelines_dir=timelines_dir), 0
+    except FabricError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 1
+
+
 def cmd_fabric(args) -> int:
-    from repro.fabric import (
-        FabricCoordinator,
-        FabricError,
-        FabricWorker,
-        parse_address,
-    )
+    from repro.fabric import FabricWorker, parse_address
 
     if args.fabric_command == "worker":
         try:
@@ -623,35 +646,21 @@ def cmd_fabric(args) -> int:
     spec, timelines_dir = _prepare_sweep_spec(spec, args)
     if spec is None:
         return 2
-    try:
-        bind = parse_address(args.bind)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     resume_dir = args.cache_dir if args.resume else None
 
     def on_progress(kind, index, app_key, scheme, seed) -> None:
         print(f"fabric: case {index} {kind} ({app_key}/{scheme}/seed={seed})",
               file=sys.stderr, flush=True)
 
-    try:
-        coordinator = FabricCoordinator(
-            spec, bind, verify=args.verify, resume_dir=resume_dir,
-            max_cases=args.max_cases, lease_timeout_s=args.lease_timeout,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            retry_limit=args.retry_limit, max_kills=args.max_kills,
-            idle_timeout_s=args.idle_timeout, on_progress=on_progress)
-    except OSError as exc:
-        print(f"error: cannot bind {args.bind}: {exc}", file=sys.stderr)
-        return 2
-    print(f"fabric: listening on {coordinator.host}:{coordinator.port}",
-          file=sys.stderr, flush=True)
-    try:
-        result = coordinator.run(out_path=args.out, compact=args.compact,
-                                 timelines_dir=timelines_dir)
-    except FabricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result, code = _run_coordinator(
+        spec, args.bind, out_path=args.out, compact=args.compact,
+        timelines_dir=timelines_dir, verify=args.verify, resume_dir=resume_dir,
+        max_cases=args.max_cases, lease_timeout_s=args.lease_timeout,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        retry_limit=args.retry_limit, max_kills=args.max_kills,
+        idle_timeout_s=args.idle_timeout, on_progress=on_progress)
+    if result is None:
+        return code
     failed = _report_failures(result, verify=args.verify)
     if timelines_dir:
         print(f"telemetry timelines -> {timelines_dir}/", file=sys.stderr)
@@ -712,24 +721,12 @@ def cmd_scenario(args) -> int:
     hits_before = executor.stats["cache_hits"]
     fabric = getattr(args, "fabric", None)
     if fabric is not None:
-        from repro.fabric import FabricCoordinator, FabricError, parse_address
-
-        try:
-            bind = parse_address(fabric)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        coordinator = FabricCoordinator(
-            spec, bind, verify=args.verify, resume_dir=resume_dir,
-            max_cases=args.max_cases)
-        print(f"fabric: listening on {coordinator.host}:{coordinator.port}",
-              file=sys.stderr, flush=True)
-        try:
-            result = coordinator.run(out_path=args.out, compact=compact,
-                                     timelines_dir=timelines_dir)
-        except FabricError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        result, code = _run_coordinator(
+            spec, fabric, out_path=args.out, compact=compact,
+            timelines_dir=timelines_dir, verify=args.verify,
+            resume_dir=resume_dir, max_cases=args.max_cases)
+        if result is None:
+            return code
     else:
         result = scenarios.run_sweep(spec, jobs=args.jobs, out_path=args.out,
                                      compact=compact, resume_dir=resume_dir,

@@ -349,6 +349,6 @@ class NodeRuntime:
                     self.region.scheme.on_emit(self, op_name, d_op, out, remote=True)
                     self.region.route_tuple(self, d_op, out, chain=d_chain)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
-        return f"<NodeRuntime {self.id} chain={self.chain} ops={list(self.ops)} {state}>"
+        return f"<NodeRuntime {self.id} chains={self.op_chain} {state}>"

@@ -1,9 +1,11 @@
 """The fabric coordinator: shard a sweep's case matrix over TCP workers.
 
-The coordinator owns one sweep end to end.  It binds a listening socket,
-preloads the resume cache exactly like :func:`repro.scenarios.run_sweep`,
-enters the un-cached cases into a :class:`~repro.fabric.ledger.CaseLedger`,
-and then plays two roles at once:
+The coordinator is a *case source* for the one sweep driver,
+:func:`repro.scenarios.executor.drive_sweep`.  It binds a listening
+socket; :meth:`FabricCoordinator.run` hands the driver the coordinator,
+and the driver asks it for the cases its resume cache cannot supply.
+The coordinator enters those into a
+:class:`~repro.fabric.ledger.CaseLedger` and plays two roles at once:
 
 * **Control plane** (daemon threads): one accept loop plus one handler
   thread per worker connection.  Workers fetch leases, stream back
@@ -11,14 +13,13 @@ and then plays two roles at once:
   the heartbeat timeout, drops, or resets releases every lease it held
   — charging a *kill* against each case (two kills = quarantine).
 
-* **Merge loop** (the calling thread): a cursor walks the full matrix
-  order and blocks until each index resolves — from the cache, from a
-  worker result, or terminally (quarantined/errored).  Rows stream
-  into :class:`~repro.scenarios.executor.StreamingSweepWriter` and the
-  :class:`~repro.scenarios.executor.CaseCache` in matrix order, which
-  is the whole determinism story: serial, ``--jobs N``, and distributed
-  sweeps emit byte-identical artifacts because every one of them merges
-  through the same ordered writer.
+* **Case source** (the calling thread): for each missing case in
+  matrix order, block until its ledger entry is terminal and yield the
+  outcome — the worker's payload, or the ledger's ``errors`` /
+  ``quarantined`` record.  The driver does the rest (cache, writer,
+  timelines, envelope) exactly as for a local sweep, which is the whole
+  determinism story: serial, ``--jobs N``, and distributed sweeps emit
+  byte-identical artifacts because they share one merge.
 
 Failure semantics at a glance: connection drop / missed heartbeat →
 re-queue with exponential backoff, kill charged; lease deadline passed
@@ -37,26 +38,13 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.apps.registry import get_app
 from repro.fabric.ledger import DONE, QUARANTINED, TERMINAL, CaseLedger
 from repro.fabric.protocol import FrameError, recv_frame, send_frame
-from repro.results.io import COMPACT_THRESHOLD
-from repro.scenarios import executor
-from repro.scenarios.executor import (
-    CaseCache,
-    StreamingSweepWriter,
-    _write_timeline_file,
-    spec_digest,
-)
-from repro.scenarios.runner import scheme_factory
+from repro.scenarios.executor import MissingCase, drive_sweep
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.simlog import get_logger
 
 log = get_logger()
-
-#: on_progress callback kinds.
-PROGRESS_KINDS = ("cached", "row", "quarantined", "errored")
-
 
 class FabricError(RuntimeError):
     """The fabric cannot make progress (e.g. no worker activity for
@@ -91,8 +79,6 @@ class FabricCoordinator:
         drain_grace_s: float = 2.0,
         on_progress: Optional[Callable[[str, int, str, str, int], None]] = None,
     ) -> None:
-        if max_cases is not None and max_cases < 1:
-            raise ValueError("max_cases must be >= 1")
         self._spec = spec
         self._verify = verify
         self._resume_dir = resume_dir
@@ -270,7 +256,7 @@ class FabricCoordinator:
             "fabric: case %d raised on worker %s (%s) -> %s",
             index, owner, error.get("type", "?"), status)
 
-    # -- merge loop ------------------------------------------------------
+    # -- case source ------------------------------------------------------
 
     def _await_terminal(self, index: int):
         """Block until ``index`` reaches a terminal ledger state,
@@ -298,10 +284,31 @@ class FabricCoordinator:
                     )
                 self._cond.wait(0.2)
 
-    def _report(self, kind: str, index: int, app_key: str, scheme: str,
-                seed: int) -> None:
-        if self._on_progress is not None:
-            self._on_progress(kind, index, app_key, scheme, seed)
+    def _outcomes(self, digest: str, missing: List[MissingCase]):
+        """The coordinator as a case source for
+        :func:`~repro.scenarios.executor.drive_sweep`: enter the missing
+        cases into the ledger, start serving workers, and yield each
+        case's terminal outcome in the order given."""
+        with self._lock:
+            self._digest = digest
+            self._ledger = CaseLedger(missing, **self._ledger_opts)
+            self._last_progress = time.monotonic()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
+        log.info("fabric: coordinating %d uncached case(s) on %s:%d",
+                 len(missing), self.host, self.port)
+        for i, app, scheme, seed in missing:
+            entry = self._await_terminal(i)
+            if entry.status == DONE:
+                yield "row", entry.payload
+                continue
+            kind = "quarantined" if entry.status == QUARANTINED else "errored"
+            log.error("fabric: case %s/%s/seed=%d %s (%s)",
+                      app.key, scheme, seed, kind, entry.reason)
+            with self._lock:
+                record = self._ledger.record(i)
+            yield kind, record
 
     def run(
         self,
@@ -316,129 +323,14 @@ class FabricCoordinator:
         (in the returned dict only, never on disk) when cases were lost
         to their failure budgets.
         """
-        spec = self._spec
-        telemetry_on = spec.telemetry is not None
-        if timelines_dir is not None and not telemetry_on:
-            raise ValueError(
-                "timelines_dir requires spec.telemetry (the scenario has no "
-                "QoS monitor to produce timelines)"
-            )
-        for app in spec.matrix.apps:
-            get_app(app.name).make_params(app.params)
-        for scheme in spec.matrix.schemes:
-            scheme_factory(scheme, spec.checkpoint_period_s)
-        cases = list(spec.matrix.cases())
-        if self._max_cases is not None:
-            cases = cases[: self._max_cases]
-
-        digest = spec_digest(spec)
-        cache = CaseCache(self._resume_dir) if self._resume_dir else None
-        cached: Dict[int, Dict[str, Any]] = {}
-        cached_timelines: Dict[int, Dict[str, Any]] = {}
-        if cache is not None:
-            for i, (app, scheme, seed) in enumerate(cases):
-                row = cache.get(digest, app.key, scheme, seed)
-                if row is None:
-                    continue
-                if telemetry_on:
-                    timeline = cache.get_timeline(digest, app.key, scheme, seed)
-                    if timeline is None:
-                        continue
-                    cached_timelines[i] = timeline
-                cached[i] = row
-            executor.stats["cache_hits"] += len(cached)
-            executor.stats["cache_misses"] += len(cases) - len(cached)
-        missing = [
-            (i, app, scheme, seed)
-            for i, (app, scheme, seed) in enumerate(cases)
-            if i not in cached
-        ]
-
-        if compact is None:
-            compact = len(cases) >= COMPACT_THRESHOLD
-        writer = StreamingSweepWriter(out_path, compact) if out_path else None
-
-        with self._lock:
-            self._digest = digest
-            self._ledger = CaseLedger(missing, **self._ledger_opts)
-            self._last_progress = time.monotonic()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        log.info(
-            "fabric: coordinating %d case(s) (%d cached) on %s:%d",
-            len(cases), len(cached), self.host, self.port)
-
-        rows: List[Dict[str, Any]] = []
-        violations: List[Dict[str, Any]] = []
         try:
-            for i, (app, scheme, seed) in enumerate(cases):
-                timeline: Optional[Dict[str, Any]] = None
-                if i in cached:
-                    row = cached[i]
-                    timeline = cached_timelines.get(i)
-                    kind = "cached"
-                else:
-                    entry = self._await_terminal(i)
-                    if entry.status != DONE:
-                        kind = ("quarantined" if entry.status == QUARANTINED
-                                else "errored")
-                        log.error(
-                            "fabric: case %s/%s/seed=%d %s (%s)",
-                            app.key, scheme, seed, kind, entry.reason)
-                        self._report(kind, i, app.key, scheme, seed)
-                        continue
-                    payload = entry.payload
-                    if telemetry_on or self._verify:
-                        row, timeline = payload["row"], payload.get("timeline")
-                        for v in payload.get("violations", ()):
-                            violations.append(
-                                {"app": app.key, "scheme": scheme,
-                                 "seed": seed, **v}
-                            )
-                    else:
-                        row = payload
-                    if cache is not None:
-                        cache.put(digest, app.key, scheme, seed, row)
-                        if telemetry_on:
-                            cache.put_timeline(
-                                digest, app.key, scheme, seed, timeline)
-                    kind = "row"
-                if timeline is not None and timelines_dir is not None:
-                    _write_timeline_file(
-                        timelines_dir, app.key, scheme, seed, timeline)
-                rows.append(row)
-                if writer is not None:
-                    writer.write_row(row)
-                self._report(kind, i, app.key, scheme, seed)
-            if writer is not None:
-                writer.finish(spec.name, spec.to_dict(), len(rows))
-        except BaseException:
-            if writer is not None:
-                writer.abort()
-            raise
+            return drive_sweep(
+                self._spec, self._outcomes, out_path=out_path, compact=compact,
+                resume_dir=self._resume_dir, max_cases=self._max_cases,
+                timelines_dir=timelines_dir, verify=self._verify,
+                on_progress=self._on_progress)
         finally:
             self._shutdown()
-
-        envelope: Dict[str, Any] = {
-            "scenario": spec.name,
-            "spec": spec.to_dict(),
-            "n_cases": len(rows),
-            "cases": rows,
-        }
-        if self._verify:
-            envelope["violations"] = violations
-        with self._lock:
-            assert self._ledger is not None
-            quarantined = self._ledger.quarantined_records()
-            errors = self._ledger.error_records()
-        # Like "violations": these keys live only in the returned
-        # envelope — the streamed artifact's byte layout never changes.
-        if quarantined:
-            envelope["quarantined"] = quarantined
-        if errors:
-            envelope["errors"] = errors
-        return envelope
 
     # -- teardown --------------------------------------------------------
 

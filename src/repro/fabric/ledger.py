@@ -258,7 +258,10 @@ class CaseLedger:
 
     # -- reporting -------------------------------------------------------
 
-    def _record(self, entry: _Case) -> Dict[str, Any]:
+    def record(self, index: int) -> Dict[str, Any]:
+        """The run-report record of case ``index`` (the shape of the
+        envelope's ``quarantined`` and ``errors`` entries)."""
+        entry = self._cases[index]
         record: Dict[str, Any] = {
             "app": entry.app.key if hasattr(entry.app, "key") else str(entry.app),
             "scheme": entry.scheme,
@@ -270,11 +273,3 @@ class CaseLedger:
         if entry.error is not None:
             record["error"] = entry.error
         return record
-
-    def quarantined_records(self) -> List[Dict[str, Any]]:
-        return [self._record(e) for i in self._order
-                for e in (self._cases[i],) if e.status == QUARANTINED]
-
-    def error_records(self) -> List[Dict[str, Any]]:
-        return [self._record(e) for i in self._order
-                for e in (self._cases[i],) if e.status == ERRORED]

@@ -1,9 +1,25 @@
-"""The sweep executor: warm worker pool, resume cache, streaming artifacts.
+"""The sweep executor: one sweep driver, pluggable case sources.
 
-``run_sweep`` fans a scenario's matrix out over a process pool and
-aggregates per-case metric rows into one canonical JSON artifact.  Three
-properties make sweeps cheap at scale without changing a single output
-byte:
+Every sweep — serial, ``--jobs N``, or distributed over the fabric —
+runs through one driver, :func:`drive_sweep`.  The driver owns the
+whole merge: matrix validation, the ``max_cases`` cut, the spec digest,
+the resume-cache preload, the artifact layout, the streaming writer,
+payload unpacking, violation tagging, cache and timeline writes, the
+abort path, and the returned envelope.  A **case source** only answers
+one question: for these missing ``(index, app, scheme, seed)`` cases,
+in this order, give me a payload or a failure record.
+
+* The **local source** (:func:`run_sweep`) runs cases in this process,
+  or over the warm pool when ``jobs > 1``; a raising case is retried
+  once in-process before it becomes an ``errors`` record.
+* The **fabric source** (:class:`repro.fabric.FabricCoordinator`)
+  leases cases to TCP workers through its ledger and yields each
+  case's terminal outcome: a row, an ``errors`` record, or a
+  ``quarantined`` record.
+
+Because both feed the same ordered merge, every engine emits the same
+artifact bytes for the same matrix.  Three properties make sweeps cheap
+at scale without changing a single output byte:
 
 **Warm pool.**  The ``multiprocessing`` pool persists between sweeps
 (module-level, torn down atexit).  Workers receive the spec once, at
@@ -13,19 +29,18 @@ same spec reuses live workers.  The start method is forkserver-aware:
 ``fork`` where the platform offers it (cheapest, inherits warm caches),
 else ``forkserver``, else ``spawn``; override with ``REPRO_MP_START``.
 
-**Ordered streaming.**  Cases run through ``imap`` (order-preserving,
-chunked by a pool-size heuristic), and every finished row is appended
-to the artifact *immediately* — the writer reproduces the exact bytes
-of :func:`~repro.results.io.dumps_artifact`, so a streamed artifact
-is indistinguishable from a buffered one, but a long sweep shows
-progress on disk and never holds every row twice.
+**Ordered streaming.**  The driver appends every resolved row to the
+artifact *immediately*, in matrix order — the writer reproduces the
+exact bytes of :func:`~repro.results.io.dumps_artifact`, so a streamed
+artifact is indistinguishable from a buffered one, but a long sweep
+shows progress on disk and never holds every row twice.
 
 **Resume cache.**  With ``resume_dir`` set, each finished case is also
 written to a per-case JSON keyed by ``(spec digest, app key, scheme,
-seed)``; re-running a partially finished sweep only simulates the
-missing cases and merges cached rows back in matrix order.  Because
-every case is deterministic in that key, a resumed artifact is
-byte-identical to a fresh one.
+seed)``; re-running a partially finished sweep only asks its source
+for the missing cases and merges cached rows back in matrix order.
+Because every case is deterministic in that key, a resumed artifact is
+byte-identical to a fresh one, whichever engine filled the cache.
 
 Results stay bit-identical to a serial run at any ``jobs`` level, fresh
 or resumed — guarded by the golden-hash suite in ``tests/perf/``.
@@ -34,6 +49,7 @@ or resumed — guarded by the golden-hash suite in ``tests/perf/``.
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import json
 import math
@@ -43,7 +59,7 @@ import re
 import sys
 import tempfile
 import traceback
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, TextIO, Tuple
 
 from repro.apps.registry import AppRef, get_app
 from repro.results.io import COMPACT_THRESHOLD
@@ -476,7 +492,242 @@ class StreamingSweepWriter:
             pass
 
 
-# -- the sweep ----------------------------------------------------------------
+# -- the sweep driver ---------------------------------------------------------
+#: A missing case: ``(index in matrix order, app, scheme, seed)``.
+MissingCase = Tuple[int, AppRef, str, int]
+#: One resolved case from a source: ``("row", payload)``, or a failure
+#: ``("errored" | "quarantined", record)``.
+Outcome = Tuple[str, Dict[str, Any]]
+#: ``source(digest, missing)`` yields one outcome per missing case, in
+#: the order given.
+CaseSource = Callable[[str, List[MissingCase]], Generator[Outcome, None, None]]
+
+
+def drive_sweep(
+    spec: ScenarioSpec,
+    source: CaseSource,
+    *,
+    out_path: Optional[str] = None,
+    compact: Optional[bool] = None,
+    resume_dir: Optional[str] = None,
+    max_cases: Optional[int] = None,
+    timelines_dir: Optional[str] = None,
+    verify: bool = False,
+    on_progress: Optional[Callable[[str, int, str, str, int], None]] = None,
+) -> Dict[str, Any]:
+    """Merge one sweep in matrix order; ``source`` simulates what the
+    resume cache cannot supply.
+
+    Validates the matrix, applies ``max_cases``, preloads the cache,
+    then walks the matrix: each case is a cached row or the next
+    outcome of ``source(digest, missing)``.  Rows stream to the writer
+    and the cache; violations are tagged with their case; failure
+    records land in the envelope's ``errors``/``quarantined`` lists.
+    ``on_progress(kind, index, app_key, scheme, seed)`` sees every
+    resolved case (``cached``, ``row``, ``quarantined``, ``errored``).
+    Arguments otherwise mean what they mean for :func:`run_sweep`.
+    """
+    if max_cases is not None and max_cases < 1:
+        raise ValueError("max_cases must be >= 1")
+    telemetry_on = spec.telemetry is not None
+    if timelines_dir is not None and not telemetry_on:
+        raise ValueError(
+            "timelines_dir requires spec.telemetry (the scenario has no "
+            "QoS monitor to produce timelines)"
+        )
+    # Fail fast on a bad matrix axis (typo'd app/scheme, ill-typed
+    # params) before any case burns simulation time.
+    for app in spec.matrix.apps:
+        get_app(app.name).make_params(app.params)
+    for scheme in spec.matrix.schemes:
+        scheme_factory(scheme, spec.checkpoint_period_s)
+    cases = list(spec.matrix.cases())
+    if max_cases is not None:
+        cases = cases[:max_cases]
+
+    digest = spec_digest(spec)
+    cache = CaseCache(resume_dir) if resume_dir else None
+    cached: Dict[int, Dict[str, Any]] = {}
+    cached_timelines: Dict[int, Dict[str, Any]] = {}
+    if cache is not None:
+        for i, (app, scheme, seed) in enumerate(cases):
+            row = cache.get(digest, app.key, scheme, seed)
+            if row is None:
+                continue
+            if telemetry_on:
+                # A telemetry case is only "done" when both halves
+                # persisted; a row without its sidecar re-runs.
+                timeline = cache.get_timeline(digest, app.key, scheme, seed)
+                if timeline is None:
+                    continue
+                cached_timelines[i] = timeline
+            cached[i] = row
+        stats["cache_hits"] += len(cached)
+        stats["cache_misses"] += len(cases) - len(cached)
+    missing = [(i, app, scheme, seed)
+               for i, (app, scheme, seed) in enumerate(cases) if i not in cached]
+
+    if compact is None:
+        compact = len(cases) >= COMPACT_THRESHOLD
+    writer = StreamingSweepWriter(out_path, compact) if out_path else None
+
+    rows: List[Dict[str, Any]] = []
+    violations: List[Dict[str, Any]] = []
+    failures: Dict[str, List[Dict[str, Any]]] = {"errored": [], "quarantined": []}
+    fresh = source(digest, missing)
+    try:
+        for i, (app, scheme, seed) in enumerate(cases):
+            row = cached.get(i)
+            timeline = cached_timelines.get(i)
+            kind = "cached"
+            if row is None:
+                kind, payload = next(fresh)
+                if kind != "row":
+                    # Failure record only — never an artifact row.
+                    failures[kind].append(payload)
+                    if on_progress is not None:
+                        on_progress(kind, i, app.key, scheme, seed)
+                    continue
+                if telemetry_on or verify:
+                    row, timeline = payload["row"], payload.get("timeline")
+                    for v in payload.get("violations", ()):
+                        violations.append(
+                            {"app": app.key, "scheme": scheme, "seed": seed, **v}
+                        )
+                else:
+                    row = payload
+                stats["cases_run"] += 1
+                if cache is not None:
+                    cache.put(digest, app.key, scheme, seed, row)
+                    if telemetry_on:
+                        cache.put_timeline(
+                            digest, app.key, scheme, seed, timeline)
+            if timeline is not None and timelines_dir is not None:
+                _write_timeline_file(
+                    timelines_dir, app.key, scheme, seed, timeline)
+            rows.append(row)
+            if writer is not None:
+                writer.write_row(row)
+            if on_progress is not None:
+                on_progress(kind, i, app.key, scheme, seed)
+        # Run the source to its end, so its clean-up runs now rather
+        # than whenever the suspended generator is collected.
+        for _extra in fresh:
+            raise RuntimeError("case source yielded more outcomes than cases")
+        if writer is not None:
+            writer.finish(spec.name, spec.to_dict(), len(rows))
+    except BaseException:
+        if writer is not None:
+            writer.abort()
+        fresh.close()
+        raise
+    envelope = {
+        "scenario": spec.name,
+        "spec": spec.to_dict(),
+        "n_cases": len(rows),
+        "cases": rows,
+    }
+    # The keys below live only in the returned dict: the streamed
+    # artifact's envelope tail never grows keys, so verified, failed
+    # and plain sweeps write byte-identical files (and failure lists
+    # are absent when empty, so clean sweeps round-trip unchanged).
+    if verify:
+        envelope["violations"] = violations
+    if failures["quarantined"]:
+        envelope["quarantined"] = failures["quarantined"]
+    if failures["errored"]:
+        envelope["errors"] = failures["errored"]
+    return envelope
+
+
+# -- the local case source ----------------------------------------------------
+def _fresh(
+    spec: ScenarioSpec, digest: str, missing: List[MissingCase],
+    parallel: bool, jobs: int, verify: bool,
+) -> Iterator[Dict[str, Any]]:
+    """Missing-case payloads in matrix order (imap preserves it).
+
+    A dead pool worker (SIGKILL, OOM) would hang ``imap`` forever:
+    the pool repopulates the process but the in-flight task is
+    lost.  The parallel branch therefore polls with a timeout and
+    watches the pool's pid-set — a stall plus a changed pid-set is
+    a death, answered by rebuilding the pool *once* and re-running
+    the cases not yet yielded (determinism makes re-execution
+    free).  A second death aborts the sweep for real.
+    """
+    if not parallel:
+        for _i, app, scheme, seed in missing:
+            yield _try_execute(spec, app, scheme, seed, verify=verify)
+        return
+    remaining = [(app, scheme, seed) for _i, app, scheme, seed in missing]
+    rebuilds = 0
+    while remaining:
+        n_procs = min(jobs, len(remaining))
+        pool = _warm_pool(n_procs, spec, digest, verify)
+        pids = _pool_pids(pool)
+        results = pool.imap(
+            _case_worker, remaining,
+            chunksize=_chunksize(len(remaining), n_procs))
+        done = 0
+        try:
+            while done < len(remaining):
+                try:
+                    payload = results.next(timeout=_POOL_POLL_S)
+                except multiprocessing.TimeoutError:
+                    if _pool_pids(pool) != pids:
+                        raise PoolBrokenError(
+                            "a pool worker died mid-case; its task is "
+                            "lost and the pool must be rebuilt"
+                        ) from None
+                    continue
+                done += 1
+                yield payload
+            return
+        except PoolBrokenError:
+            stats["pool_rebuilds"] += 1
+            shutdown_pool()
+            rebuilds += 1
+            if rebuilds > 1:
+                raise
+            # imap is ordered: everything before `done` was already
+            # yielded and merged; re-dispatch only the tail.
+            remaining = remaining[done:]
+
+
+def _local_cases(
+    spec: ScenarioSpec, jobs: int, verify: bool,
+    digest: str, missing: List[MissingCase],
+) -> Generator[Outcome, None, None]:
+    """The local case source: in this process, or over the warm pool
+    when ``jobs > 1`` and more than one case is missing."""
+    parallel = jobs > 1 and len(missing) > 1
+    try:
+        payloads = _fresh(spec, digest, missing, parallel, jobs, verify)
+        for (_i, app, scheme, seed), payload in zip(missing, payloads):
+            if isinstance(payload, dict) and "__error__" in payload:
+                # The case raised instead of producing a row; retry
+                # once in-process (transient failures — a flaky
+                # extension scheme, an OS hiccup — get one more
+                # shot) before reporting it.
+                stats["case_retries"] += 1
+                payload = _try_execute(
+                    spec, app, scheme, seed, verify=verify)
+            if isinstance(payload, dict) and "__error__" in payload:
+                stats["case_errors"] += 1
+                yield "errored", {
+                    "app": app.key, "scheme": scheme, "seed": seed,
+                    "attempts": 2, "error": payload["__error__"],
+                }
+            else:
+                yield "row", payload
+    except BaseException:
+        if parallel:
+            # The abandoned imap leaves queued chunks (or dead workers)
+            # behind; a reused pool would hang or lag the next sweep.
+            shutdown_pool()
+        raise
+
+
 def run_sweep(
     spec: ScenarioSpec,
     jobs: int = 1,
@@ -518,169 +769,7 @@ def run_sweep(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if max_cases is not None and max_cases < 1:
-        raise ValueError("max_cases must be >= 1")
-    telemetry_on = spec.telemetry is not None
-    if timelines_dir is not None and not telemetry_on:
-        raise ValueError(
-            "timelines_dir requires spec.telemetry (the scenario has no "
-            "QoS monitor to produce timelines)"
-        )
-    # Fail fast on a bad matrix axis (typo'd app/scheme, ill-typed
-    # params) before any case burns simulation time.
-    for app in spec.matrix.apps:
-        get_app(app.name).make_params(app.params)
-    for scheme in spec.matrix.schemes:
-        scheme_factory(scheme, spec.checkpoint_period_s)
-    cases = list(spec.matrix.cases())
-    if max_cases is not None:
-        cases = cases[:max_cases]
-
-    digest = spec_digest(spec)
-    cache = CaseCache(resume_dir) if resume_dir else None
-    cached: Dict[int, Dict[str, Any]] = {}
-    cached_timelines: Dict[int, Dict[str, Any]] = {}
-    if cache is not None:
-        for i, (app, scheme, seed) in enumerate(cases):
-            row = cache.get(digest, app.key, scheme, seed)
-            if row is None:
-                continue
-            if telemetry_on:
-                # A telemetry case is only "done" when both halves
-                # persisted; a row without its sidecar re-runs.
-                timeline = cache.get_timeline(digest, app.key, scheme, seed)
-                if timeline is None:
-                    continue
-                cached_timelines[i] = timeline
-            cached[i] = row
-        stats["cache_hits"] += len(cached)
-        stats["cache_misses"] += len(cases) - len(cached)
-    missing = [(i, case) for i, case in enumerate(cases) if i not in cached]
-
-    if compact is None:
-        compact = len(cases) >= COMPACT_THRESHOLD
-    writer = StreamingSweepWriter(out_path, compact) if out_path else None
-
-    parallel = jobs > 1 and len(missing) > 1
-
-    def _fresh() -> Iterator[Dict[str, Any]]:
-        """Missing-case payloads in matrix order (imap preserves it).
-
-        A dead pool worker (SIGKILL, OOM) would hang ``imap`` forever:
-        the pool repopulates the process but the in-flight task is
-        lost.  The parallel branch therefore polls with a timeout and
-        watches the pool's pid-set — a stall plus a changed pid-set is
-        a death, answered by rebuilding the pool *once* and re-running
-        the cases not yet yielded (determinism makes re-execution
-        free).  A second death aborts the sweep for real.
-        """
-        if not parallel:
-            for _i, (app, scheme, seed) in missing:
-                yield _try_execute(spec, app, scheme, seed, verify=verify)
-            return
-        remaining = [case for _i, case in missing]
-        rebuilds = 0
-        while remaining:
-            n_procs = min(jobs, len(remaining))
-            pool = _warm_pool(n_procs, spec, digest, verify)
-            pids = _pool_pids(pool)
-            results = pool.imap(
-                _case_worker, remaining,
-                chunksize=_chunksize(len(remaining), n_procs))
-            done = 0
-            try:
-                while done < len(remaining):
-                    try:
-                        payload = results.next(timeout=_POOL_POLL_S)
-                    except multiprocessing.TimeoutError:
-                        if _pool_pids(pool) != pids:
-                            raise PoolBrokenError(
-                                "a pool worker died mid-case; its task is "
-                                "lost and the pool must be rebuilt"
-                            ) from None
-                        continue
-                    done += 1
-                    yield payload
-                return
-            except PoolBrokenError:
-                stats["pool_rebuilds"] += 1
-                shutdown_pool()
-                rebuilds += 1
-                if rebuilds > 1:
-                    raise
-                # imap is ordered: everything before `done` was already
-                # yielded and merged; re-dispatch only the tail.
-                remaining = remaining[done:]
-
-    rows: List[Dict[str, Any]] = []
-    violations: List[Dict[str, Any]] = []
-    errors: List[Dict[str, Any]] = []
-    fresh = _fresh()
-    try:
-        for i, (app, scheme, seed) in enumerate(cases):
-            row = cached.get(i)
-            timeline = cached_timelines.get(i)
-            if row is None:
-                payload = next(fresh)
-                if isinstance(payload, dict) and "__error__" in payload:
-                    # The case raised instead of producing a row; retry
-                    # once in-process (transient failures — a flaky
-                    # extension scheme, an OS hiccup — get one more
-                    # shot) before reporting it.
-                    stats["case_retries"] += 1
-                    payload = _try_execute(
-                        spec, app, scheme, seed, verify=verify)
-                if isinstance(payload, dict) and "__error__" in payload:
-                    stats["case_errors"] += 1
-                    errors.append({
-                        "app": app.key, "scheme": scheme, "seed": seed,
-                        "attempts": 2, "error": payload["__error__"],
-                    })
-                    continue  # failure record only — never an artifact row
-                if telemetry_on or verify:
-                    row, timeline = payload["row"], payload.get("timeline")
-                    for v in payload.get("violations", ()):
-                        violations.append(
-                            {"app": app.key, "scheme": scheme, "seed": seed, **v}
-                        )
-                else:
-                    row = payload
-                stats["cases_run"] += 1
-                if cache is not None:
-                    cache.put(digest, app.key, scheme, seed, row)
-                    if telemetry_on:
-                        cache.put_timeline(
-                            digest, app.key, scheme, seed, timeline)
-            if timeline is not None and timelines_dir is not None:
-                _write_timeline_file(
-                    timelines_dir, app.key, scheme, seed, timeline)
-            rows.append(row)
-            if writer is not None:
-                writer.write_row(row)
-        if writer is not None:
-            writer.finish(spec.name, spec.to_dict(), len(rows))
-    except BaseException:
-        if writer is not None:
-            writer.abort()
-        if parallel:
-            # The abandoned imap leaves queued chunks (or dead workers)
-            # behind; a reused pool would hang or lag the next sweep.
-            shutdown_pool()
-        raise
-    envelope = {
-        "scenario": spec.name,
-        "spec": spec.to_dict(),
-        "n_cases": len(rows),
-        "cases": rows,
-    }
-    if verify:
-        # Only in the returned dict: the streamed artifact's envelope
-        # tail never grows keys, so verified and plain sweeps write
-        # byte-identical files.
-        envelope["violations"] = violations
-    if errors:
-        # Same rule as violations: failure records are run-report
-        # material, never artifact bytes (and absent when empty, so
-        # clean sweeps round-trip unchanged).
-        envelope["errors"] = errors
-    return envelope
+    return drive_sweep(
+        spec, functools.partial(_local_cases, spec, jobs, verify),
+        out_path=out_path, compact=compact, resume_dir=resume_dir,
+        max_cases=max_cases, timelines_dir=timelines_dir, verify=verify)

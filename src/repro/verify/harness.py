@@ -65,6 +65,17 @@ PROGRESS_MIN_INGESTS = 200
 PROGRESS_GRACE_S = 120.0
 
 
+def _json_shape(value: Any) -> Any:
+    """``value`` as JSON reads it back: tuples become lists.  A
+    violation dict then compares equal however it travelled — pickled
+    from a pool worker or framed as JSON by a fabric worker."""
+    if isinstance(value, dict):
+        return {k: _json_shape(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_shape(v) for v in value]
+    return value
+
+
 class Violation:
     """One structured invariant violation."""
 
@@ -89,15 +100,15 @@ class Violation:
         self.window = window
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (stable keys; rides beside artifacts, never
-        inside a row)."""
+        """JSON-shaped form (stable keys, lists for tuples; rides beside
+        artifacts, never inside a row)."""
         return {
             "invariant": self.invariant,
             "region": self.region,
             "time": self.time,
             "message": self.message,
-            "details": dict(self.details),
-            "window": [dict(r) for r in self.window],
+            "details": _json_shape(self.details),
+            "window": _json_shape(self.window),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -227,3 +227,15 @@ def test_state_size_sums_hosted_operators():
     assert node.state_size() == 128
     snap = node.snapshot_state()
     assert set(snap) == {"A", "B"}
+
+
+def test_repr_of_a_started_node_names_its_operator_chains():
+    s = build()
+    s.start()
+    region = s.regions[0]
+    j = region.nodes[region.placement.node_for("J", 0)]
+    assert repr(j) == f"<NodeRuntime {j.id} chains={{'J': 0}} alive>"
+    for node in region.nodes.values():
+        assert repr(node).startswith(f"<NodeRuntime {node.id} chains=")
+    j.kill()
+    assert repr(j).endswith(" dead>")

@@ -7,6 +7,7 @@ under test *is* process death.
 """
 
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -25,8 +26,10 @@ from repro.fabric.testing import (
     KILL_LIMIT_ENV,
     chaos_schemes,
 )
+from repro.scenarios import TelemetrySpec, executor
 from repro.scenarios.executor import run_sweep
-from repro.scenarios.spec import MatrixSpec, ScenarioSpec
+from repro.scenarios.spec import EventSpec, MatrixSpec, ScenarioSpec
+from repro.verify.testing import BROKEN_REPLAY, broken_replay_scheme
 
 FAST = dict(lease_timeout_s=8.0, heartbeat_timeout_s=3.0,
             backoff_base_s=0.05, idle_timeout_s=60.0)
@@ -87,6 +90,80 @@ def test_distributed_sweep_matches_serial_and_local_pool(tmp_path):
     assert envelope["n_cases"] == 4
     assert "quarantined" not in envelope and "errors" not in envelope
     assert serial.read_bytes() == jobs2.read_bytes() == fabric.read_bytes()
+
+
+def _fabric_sweep(spec, *, n_workers=2, out_path=None, timelines_dir=None,
+                  **options):
+    """One coordinator sweep served by in-process workers."""
+    coordinator = FabricCoordinator(spec, ("127.0.0.1", 0), **FAST, **options)
+    threads, codes = _run_workers((coordinator.host, coordinator.port),
+                                  n_workers)
+    envelope = coordinator.run(out_path=out_path, timelines_dir=timelines_dir)
+    _join_all(threads)
+    assert codes == [0] * n_workers
+    return envelope
+
+
+def _read_dir(dirname):
+    return {name: (dirname / name).read_bytes()
+            for name in sorted(os.listdir(dirname))}
+
+
+def test_telemetry_timelines_match_across_engines(tmp_path):
+    """Both engines write the same artifact and the same per-case
+    timeline files, byte for byte."""
+    spec = small_spec(telemetry=TelemetrySpec(interval_s=30.0))
+    serial, fabric = tmp_path / "serial.json", tmp_path / "fabric.json"
+    serial_tl, fabric_tl = tmp_path / "serial-tl", tmp_path / "fabric-tl"
+    run_sweep(spec, out_path=str(serial), timelines_dir=str(serial_tl))
+    envelope = _fabric_sweep(spec, out_path=str(fabric),
+                             timelines_dir=str(fabric_tl))
+
+    assert sorted(envelope) == ["cases", "n_cases", "scenario", "spec"]
+    assert serial.read_bytes() == fabric.read_bytes()
+    timelines = _read_dir(serial_tl)
+    assert len(timelines) == envelope["n_cases"] == 4
+    assert _read_dir(fabric_tl) == timelines
+
+
+def test_verify_violations_match_across_engines():
+    """A verified fabric sweep reports exactly the serial sweep's
+    tagged violations (a broken scheme guarantees there are some)."""
+    spec = ScenarioSpec(
+        name="fabric-verify", duration_s=300.0, warmup_s=10.0,
+        phones_per_region=8, idle_per_region=2, checkpoint_period_s=60.0,
+        events=(EventSpec(kind="crash", time=200.0, phones=(2,)),),
+        matrix=MatrixSpec(apps=("signalguru",),
+                          schemes=("ms-8", BROKEN_REPLAY), seeds=(3,)))
+    with broken_replay_scheme():
+        serial = run_sweep(spec, verify=True)
+        fabric = _fabric_sweep(spec, verify=True)
+
+    assert fabric["violations"] == serial["violations"]
+    assert {v["scheme"] for v in serial["violations"]} == {BROKEN_REPLAY}
+    assert fabric["cases"] == serial["cases"]
+
+
+def test_fabric_finishes_a_cache_half_filled_by_a_local_sweep(tmp_path):
+    """Cross-engine resume: a partial local sweep fills half the cache,
+    the coordinator simulates only the rest, and the artifact is
+    byte-identical to an uninterrupted serial sweep."""
+    spec = small_spec()
+    serial, fabric = tmp_path / "serial.json", tmp_path / "fabric.json"
+    cache = str(tmp_path / "cache")
+    run_sweep(spec, out_path=str(serial))
+    run_sweep(spec, max_cases=2, resume_dir=cache)
+
+    kinds = []
+    runs_before = executor.stats["cases_run"]
+    envelope = _fabric_sweep(
+        spec, out_path=str(fabric), resume_dir=cache,
+        on_progress=lambda kind, *_case: kinds.append(kind))
+
+    assert kinds == ["cached", "cached", "row", "row"]
+    assert executor.stats["cases_run"] - runs_before == 2
+    assert envelope["n_cases"] == 4
+    assert fabric.read_bytes() == serial.read_bytes()
 
 
 def test_worker_errors_are_reported_not_silently_dropped(tmp_path):

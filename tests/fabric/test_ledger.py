@@ -61,11 +61,10 @@ def test_release_owner_requeues_with_backoff_then_quarantines():
     assert ledger.status(0) == QUARANTINED
     assert ledger.lease("w3#1", now=100.0) is None
     assert ledger.drained()
-    records = ledger.quarantined_records()
-    assert records == [{
+    assert ledger.record(0) == {
         "app": "app0", "scheme": "base", "seed": 100,
         "reason": "killed its worker 2 time(s)", "kills": 2, "attempts": 2,
-    }]
+    }
 
 
 def test_release_owner_only_touches_that_owners_leases():
@@ -133,10 +132,9 @@ def test_record_error_retries_then_marks_errored():
     status = ledger.record_error(0, {"type": "RuntimeError"}, now=5.0)
     assert status == ERRORED
     assert ledger.drained()
-    records = ledger.error_records()
-    assert len(records) == 1
-    assert records[0]["reason"] == "raised on 2 separate attempts"
-    assert records[0]["error"] == {"type": "RuntimeError"}
+    record = ledger.record(0)
+    assert record["reason"] == "raised on 2 separate attempts"
+    assert record["error"] == {"type": "RuntimeError"}
 
 
 def test_wait_hint_tracks_nearest_backoff_gate():
